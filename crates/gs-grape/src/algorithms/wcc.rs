@@ -59,7 +59,7 @@ mod tests {
             el.push(VId(rng.gen_range(0..n)), VId(rng.gen_range(0..n)));
         }
         el.symmetrize();
-        for k in [1, 2, 4] {
+        for k in 1..=4 {
             let engine = GrapeEngine::from_edges(n as usize, el.edges(), k);
             let got = wcc(&engine);
             let want = reference::wcc(n as usize, el.edges());

@@ -561,9 +561,59 @@ pub trait PregelProgram: Sync {
         ctx: &mut PregelContext<'_, Self::Msg>,
     ) -> bool;
 
-    /// Optional associative message combiner (applied at the receiver).
+    /// Optional associative message combiner. A program that returns
+    /// `Some` has its messages combined at the sender: one value per
+    /// target vertex per superstep, delivered in place when the target is
+    /// an inner vertex and sent once to the owner when it is a mirror.
+    /// The engine probes the combiner once, on the first message a worker
+    /// sends, so it must return `Some` for every pair or for none.
     fn combine(&self, _a: Self::Msg, _b: Self::Msg) -> Option<Self::Msg> {
         None
+    }
+}
+
+/// One worker's sender-side combining slots for a whole Pregel run: a
+/// dense slot per local id (inner vertices first, then outer mirrors).
+/// Empty until the first send finds that the program combines, so
+/// programs without a combiner keep the per-message path.
+pub(crate) struct SenderSlots<M> {
+    slots: Vec<Option<M>>,
+    /// `None` until the first send probes the combiner.
+    combining: Option<bool>,
+}
+
+impl<M: Payload> SenderSlots<M> {
+    pub(crate) fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            combining: None,
+        }
+    }
+}
+
+/// Folds `msg` into a combining slot.
+#[inline]
+fn stage<M: Copy>(slot: &mut Option<M>, msg: M, combine: &dyn Fn(M, M) -> Option<M>) {
+    *slot = Some(match *slot {
+        None => msg,
+        Some(old) => combine(old, msg).expect("combine returned Some once; it must for every pair"),
+    });
+}
+
+/// Appends a received message to a vertex inbox, folding it into the
+/// previous one when the program combines.
+#[inline]
+fn deliver<P: PregelProgram>(program: &P, inbox: &mut Vec<P::Msg>, m: P::Msg) {
+    if let Some(last) = inbox.pop() {
+        match program.combine(last, m) {
+            Some(c) => inbox.push(c),
+            None => {
+                inbox.push(last);
+                inbox.push(m);
+            }
+        }
+    } else {
+        inbox.push(m);
     }
 }
 
@@ -571,13 +621,35 @@ pub trait PregelProgram: Sync {
 pub struct PregelContext<'a, M: Payload> {
     pub frag: &'a Fragment,
     out: &'a mut OutBuffers,
-    _marker: std::marker::PhantomData<M>,
+    staged: &'a mut SenderSlots<M>,
+    combine: &'a dyn Fn(M, M) -> Option<M>,
 }
 
 impl<'a, M: Payload> PregelContext<'a, M> {
+    /// Whether this run stages messages in the combining slots; the first
+    /// send decides by probing the program's combiner.
+    #[inline]
+    fn combining(&mut self, msg: M) -> bool {
+        if let Some(c) = self.staged.combining {
+            return c;
+        }
+        let c = (self.combine)(msg, msg).is_some();
+        if c {
+            self.staged.slots = vec![None; self.frag.local_count()];
+        }
+        self.staged.combining = Some(c);
+        c
+    }
+
     /// Sends a message to a vertex by *global* id.
     #[inline]
     pub fn send(&mut self, target: VId, msg: M) {
+        if self.combining(msg) {
+            if let Some(l) = self.frag.local(target) {
+                stage(&mut self.staged.slots[l as usize], msg, self.combine);
+                return;
+            }
+        }
         let to = self.frag.owner(target).index();
         self.out.send(to, target, msg);
     }
@@ -586,6 +658,11 @@ impl<'a, M: Payload> PregelContext<'a, M> {
     #[inline]
     pub fn send_to_out_neighbors(&mut self, local: u32, msg: M) {
         let frag = self.frag;
+        if self.combining(msg) {
+            let (slots, combine) = (&mut self.staged.slots, self.combine);
+            frag.for_each_out(local, |nbr, _| stage(&mut slots[nbr.index()], msg, combine));
+            return;
+        }
         let out = &mut self.out;
         frag.for_each_out(local, |nbr, _| {
             let g = frag.global(nbr.0 as u32);
@@ -600,6 +677,11 @@ impl<'a, M: Payload> PregelContext<'a, M> {
 /// the plain and the recoverable drivers so both execute the byte-
 /// identical per-step logic. Returns `Ok(true)` to continue, `Ok(false)`
 /// on global termination.
+///
+/// A combining program's messages wait in `staged` until the compute
+/// phase ends: each mirror's combined value then goes to its owner as one
+/// message, and each inner vertex's goes straight into its inbox, at the
+/// position of this worker's own block so inboxes fold in sender order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pregel_step<P: PregelProgram>(
     program: &P,
@@ -610,12 +692,14 @@ pub(crate) fn pregel_step<P: PregelProgram>(
     active: &mut [bool],
     inboxes: &mut [Vec<P::Msg>],
     out: &mut OutBuffers,
+    staged: &mut SenderSlots<P::Msg>,
 ) -> Result<bool, ClusterAborted> {
     let n_inner = frag.inner_count;
     if comm.my_id == 0 {
         // one worker counts supersteps for the whole cluster
         counter!("grape.supersteps");
     }
+    let combine = |a, b| program.combine(a, b);
     // compute phase
     let mut local_active = 0u64;
     for l in 0..n_inner {
@@ -626,7 +710,8 @@ pub(crate) fn pregel_step<P: PregelProgram>(
         let mut ctx = PregelContext {
             frag,
             out,
-            _marker: std::marker::PhantomData,
+            staged,
+            combine: &combine,
         };
         let keep = program.compute(step, l as u32, &mut values[l], &msgs, &mut ctx);
         active[l] = keep;
@@ -634,28 +719,36 @@ pub(crate) fn pregel_step<P: PregelProgram>(
             local_active += 1;
         }
     }
+    // one combined message per mirror, to its owner
+    for (l, slot) in staged.slots.iter_mut().enumerate().skip(n_inner) {
+        if let Some(m) = slot.take() {
+            let g = frag.global(l as u32);
+            out.send(frag.owner(g).index(), g, m);
+        }
+    }
     // exchange phase
     let sent = out.total();
     let (blocks, _received) = comm.try_exchange(out)?;
-    for block in &blocks {
+    let mut delivered_locally = 0u64;
+    for (from, block) in blocks.iter().enumerate() {
+        if from == comm.my_id {
+            for (inbox, slot) in inboxes.iter_mut().zip(&mut staged.slots) {
+                if let Some(m) = slot.take() {
+                    delivered_locally += 1;
+                    deliver(program, inbox, m);
+                }
+            }
+        }
         block.for_each::<P::Msg>(|g, m| {
             let l = frag.local(g).expect("message routed to owner") as usize;
             debug_assert!(l < n_inner);
-            if let Some(last) = inboxes[l].pop() {
-                match program.combine(last, m) {
-                    Some(c) => inboxes[l].push(c),
-                    None => {
-                        inboxes[l].push(last);
-                        inboxes[l].push(m);
-                    }
-                }
-            } else {
-                inboxes[l].push(m);
-            }
+            deliver(program, &mut inboxes[l], m);
         });
     }
-    // global termination: nobody active, nothing in flight
-    let global_pending = comm.try_allreduce(local_active + sent)?;
+    // global termination: nobody active, nothing in flight or delivered
+    // in place (a superstep whose messages all stayed on their sender's
+    // fragment must not end the run)
+    let global_pending = comm.try_allreduce(local_active + sent + delivered_locally)?;
     Ok(global_pending != 0)
 }
 
@@ -679,6 +772,7 @@ pub fn run_pregel<P: PregelProgram>(
         let mut active = vec![true; n_inner];
         let mut inboxes: Vec<Vec<P::Msg>> = vec![Vec::new(); n_inner];
         let mut out = OutBuffers::new(comm.workers);
+        let mut staged = SenderSlots::new();
 
         for step in 0..max_steps {
             gs_chaos::worker_kill_point(comm.my_id, step);
@@ -691,6 +785,7 @@ pub fn run_pregel<P: PregelProgram>(
                 &mut active,
                 &mut inboxes,
                 &mut out,
+                &mut staged,
             )
             .expect("pregel step aborted");
             if !cont {
@@ -764,6 +859,32 @@ mod tests {
         let engine = GrapeEngine::from_edges(5, &edges, 2);
         let result = run_pregel(&engine, &MaxProp, 50);
         assert_eq!(result, vec![2, 2, 2, 4, 4]);
+    }
+
+    /// Regression (early termination): with sender-side combining, a
+    /// superstep whose only messages target the sender's own fragment
+    /// puts nothing on the wire. Those in-place deliveries must still
+    /// count as pending work, or the run stops after the first hop. BFS
+    /// from a fragment-1 vertex into a chain owned by fragment 0: from
+    /// superstep 1 on, every message stays on fragment 0.
+    #[test]
+    fn local_only_supersteps_do_not_end_the_run() {
+        let router = gs_graph::partition::EdgeCutPartitioner::new(2);
+        let owned_by = |f: usize| {
+            (0u64..)
+                .map(VId)
+                .filter(move |&v| router.owner(v).index() == f)
+        };
+        let src = owned_by(1).next().unwrap();
+        let chain: Vec<VId> = owned_by(0).take(5).collect();
+        let mut edges = vec![(src, chain[0])];
+        edges.extend(chain.windows(2).map(|w| (w[0], w[1])));
+        let n = edges.iter().map(|&(s, d)| s.0.max(d.0)).max().unwrap() as usize + 1;
+
+        let one = crate::algorithms::bfs(&GrapeEngine::from_edges(n, &edges, 1), src);
+        let two = crate::algorithms::bfs(&GrapeEngine::from_edges(n, &edges, 2), src);
+        assert_eq!(one[chain[4].index()], 5, "k=1 reaches the end of the chain");
+        assert_eq!(two, one, "k=2 must reach the same fixpoint as k=1");
     }
 
     #[test]

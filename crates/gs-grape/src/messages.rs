@@ -11,6 +11,13 @@
 //! deltas are small). The whole buffer moves through one channel send.
 //! Contrast with the PowerGraph replica in `gs-baselines`, which sends one
 //! heap-allocated message object per edge.
+//!
+//! Before anything reaches these buffers, PageRank and every Pregel
+//! program with a combiner combine at the sender (see
+//! [`PregelProgram::combine`](crate::engine::PregelProgram::combine)): one
+//! value per target vertex per superstep, kept in a dense per-local-id
+//! array. Values for the sender's own inner vertices never enter a buffer;
+//! each outer vertex's value goes to its owner as one message.
 
 use gs_graph::varint;
 use gs_graph::VId;

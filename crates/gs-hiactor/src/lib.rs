@@ -938,36 +938,4 @@ mod tests {
             rx.recv().unwrap().unwrap();
         }
     }
-
-    #[cfg(feature = "chaos")]
-    mod chaos_on {
-        use super::*;
-        use gs_chaos::FaultPlan;
-
-        /// Graceful degradation under injected shard faults: a slow shard
-        /// and a shard that dies mid-run are masked by deadlines, retries
-        /// and dead-shard rerouting — every call still succeeds.
-        #[test]
-        fn service_rides_out_slow_and_dead_shards() {
-            let plan = FaultPlan::new(0xC4A05)
-                .slow_shard(0, Duration::from_millis(5))
-                .dead_shard(1, 3);
-            let (ok, stats) = gs_chaos::with_chaos(plan, || {
-                let svc = QueryService::new(2).with_config(ServiceConfig {
-                    deadline: Some(Duration::from_secs(2)),
-                    retry: RetryPolicy::new(4, Duration::from_millis(2)),
-                    ..Default::default()
-                });
-                svc.register_idempotent("ping", Arc::new(|_| Ok(vec![vec![Value::Int(1)]])));
-                (0..24)
-                    .filter(|_| svc.call_sync("ping", HashMap::new()).is_ok())
-                    .count()
-            });
-            assert_eq!(ok, 24, "retries + rerouting must mask the faults");
-            assert!(
-                stats.shard_delays > 0 && stats.shard_deaths > 0,
-                "both fault kinds must have fired: {stats:?}"
-            );
-        }
-    }
 }

@@ -46,8 +46,8 @@ fn all_layouts_agree_on_every_algorithm() {
         sym.dedup_simple();
         let src = VId(0);
 
-        // plain-CSR baselines, fragment counts 1 and 3
-        for k in [1usize, 3] {
+        // plain-CSR baselines, fragment counts 1, 2 and 3
+        for k in [1usize, 2, 3] {
             let base = GrapeEngine::from_edges_with_layout(n, &edges, k, LayoutKind::Csr);
             let wbase = GrapeEngine::from_weighted_edges_with_layout(
                 n,
@@ -149,7 +149,7 @@ fn direction_optimizing_sssp_is_bit_identical_across_layouts_and_policies() {
     for (name, n, edges) in corpora() {
         let weights = weights_for(&edges);
         let mut baseline: Option<Vec<u64>> = None;
-        for k in [1usize, 3] {
+        for k in [1usize, 2, 3] {
             for layout in LayoutKind::ALL {
                 let eng =
                     GrapeEngine::from_weighted_edges_with_layout(n, &edges, &weights, k, layout);
