@@ -1,23 +1,18 @@
 //! Layout × algorithm analytics benchmark (BENCH_analytics.json).
-//!
-//! ```text
-//! analytics                full run, writes BENCH_analytics.json
-//! analytics --deny         fail if DO-BFS is slower than push-only BFS
-//! analytics --seed N       pin the generators (default 42)
-//! analytics --out PATH     output path (default BENCH_analytics.json)
-//! ```
+
+use gs_bench::util::Cli;
+
+const USAGE: &str = "\
+usage: analytics [--deny] [--seed N] [--out PATH]
+  (no flags)   full run, writes BENCH_analytics.json
+  --deny       fail if DO-BFS is slower than push-only BFS
+  --seed N     pin the generators (default 42)
+  --out PATH   output path (default BENCH_analytics.json)
+";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny = args.iter().any(|a| a == "--deny");
-    let mut seed = 42u64;
-    let mut out = "BENCH_analytics.json".to_string();
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--seed" => seed = w[1].parse().expect("--seed takes an integer"),
-            "--out" => out = w[1].clone(),
-            _ => {}
-        }
-    }
-    std::process::exit(gs_bench::analytics::run_cli(deny, seed, &out));
+    let cli = Cli::from_env(USAGE, &["--deny"], &["--seed", "--out"], 0);
+    let seed = cli.value("--seed", 42u64);
+    let out = cli.value("--out", "BENCH_analytics.json".to_string());
+    std::process::exit(gs_bench::analytics::run_cli(cli.flag("--deny"), seed, &out));
 }

@@ -1,19 +1,16 @@
 //! Fault-injection (chaos-equivalence) run over the workload corpus.
-//!
-//! ```text
-//! chaos                 run the corpus; always exit 0
-//! chaos --deny          fail on any equivalence violation (the CI bar)
-//! chaos --seed N        pin the fault plan and workload shape (default 42)
-//! ```
+
+use gs_bench::util::Cli;
+
+const USAGE: &str = "\
+usage: chaos [--deny] [--seed N]
+  (no flags)   run the corpus; always exit 0
+  --deny       fail on any equivalence violation (the CI bar)
+  --seed N     pin the fault plan and workload shape (default 42)
+";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny = args.iter().any(|a| a == "--deny");
-    let mut seed = 42u64;
-    for w in args.windows(2) {
-        if w[0] == "--seed" {
-            seed = w[1].parse().expect("--seed takes an integer");
-        }
-    }
-    std::process::exit(gs_bench::chaos::run(deny, seed));
+    let cli = Cli::from_env(USAGE, &["--deny"], &["--seed"], 0);
+    let seed = cli.value("--seed", 42u64);
+    std::process::exit(gs_bench::chaos::run(cli.flag("--deny"), seed));
 }

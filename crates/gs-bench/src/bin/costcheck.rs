@@ -1,23 +1,20 @@
 //! Cost-analysis estimator quality + soundness check (BENCH_cost.json).
-//!
-//! ```text
-//! costcheck                full run, writes BENCH_cost.json
-//! costcheck --deny         fail on clean-corpus C-errors, soundness
-//!                          violations, or missed pathological codes
-//! costcheck --out PATH     output path (default BENCH_cost.json)
-//! ```
+
+use gs_bench::util::Cli;
+
+const USAGE: &str = "\
+usage: costcheck [--deny] [--out PATH]
+  (no flags)   full run, writes BENCH_cost.json
+  --deny       fail on clean-corpus C-errors, soundness violations,
+               or missed pathological codes
+  --out PATH   output path (default BENCH_cost.json)
+";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny = args.iter().any(|a| a == "--deny");
-    let mut out = "BENCH_cost.json".to_string();
-    for w in args.windows(2) {
-        if w[0].as_str() == "--out" {
-            out = w[1].clone();
-        }
-    }
+    let cli = Cli::from_env(USAGE, &["--deny"], &["--out"], 0);
+    let out = cli.value("--out", "BENCH_cost.json".to_string());
     gs_telemetry::install(gs_telemetry::Registry::new());
-    let code = gs_bench::costcheck::run_cli(deny, &out);
+    let code = gs_bench::costcheck::run_cli(cli.flag("--deny"), &out);
     print!("{}", gs_telemetry::global().text_report());
     std::process::exit(code);
 }

@@ -1,23 +1,20 @@
 //! Regenerates the paper's tables and figures.
-//!
-//! ```text
-//! figures all [scale]              run every experiment
-//! figures <id> [scale]             run one (table1, fig7a..fig7m, table2, exp6..exp8)
-//! figures list                     list experiment ids
-//! figures <id> [scale] --telemetry print a telemetry report after each experiment
-//! ```
-//!
-//! `scale` multiplies dataset sizes (default 1.0 ≈ laptop-friendly).
 
 use gs_bench::experiments;
+use gs_bench::util::Cli;
+
+const USAGE: &str = "\
+usage: figures [all|list|<id>] [scale] [--telemetry]
+  all [scale]     run every experiment (the default)
+  <id> [scale]    run one (table1, fig7a..fig7m, table2, exp6..exp8)
+  list            list experiment ids
+  --telemetry     print a telemetry report after each experiment
+  scale multiplies dataset sizes (default 1.0 = laptop-friendly)
+";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let telemetry = {
-        let before = args.len();
-        args.retain(|a| a != "--telemetry");
-        args.len() != before
-    };
+    let cli = Cli::from_env(USAGE, &["--telemetry"], &[], 2);
+    let telemetry = cli.flag("--telemetry");
     if telemetry {
         // one registry for the whole run: hot paths cache static metric
         // handles into it, so reset between experiments instead of
@@ -31,8 +28,11 @@ fn main() {
             g.reset();
         }
     };
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let which = cli.positionals.first().map_or("all", String::as_str);
+    let scale: f64 = cli.positionals.get(1).map_or(1.0, |s| {
+        s.parse()
+            .unwrap_or_else(|_| cli.fail(&format!("bad scale `{s}`")))
+    });
 
     match which {
         "list" => {

@@ -1,14 +1,18 @@
 //! Workspace source-invariant lint gate.
-//!
-//! ```text
-//! lint                    report; fail on deny-level findings
-//! lint --deny             also fail on warn-level findings (the CI bar)
-//! lint --write-registry   regenerate telemetry-registry.txt from DESIGN.md
-//! ```
+
+use gs_bench::util::Cli;
+
+const USAGE: &str = "\
+usage: lint [--deny] [--write-registry]
+  (no flags)         report; fail on deny-level findings
+  --deny             also fail on warn-level findings (the CI bar)
+  --write-registry   regenerate telemetry-registry.txt from DESIGN.md
+";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny = args.iter().any(|a| a == "--deny");
-    let write_registry = args.iter().any(|a| a == "--write-registry");
-    std::process::exit(gs_bench::lint::run(deny, write_registry));
+    let cli = Cli::from_env(USAGE, &["--deny", "--write-registry"], &[], 0);
+    std::process::exit(gs_bench::lint::run(
+        cli.flag("--deny"),
+        cli.flag("--write-registry"),
+    ));
 }

@@ -1,30 +1,30 @@
 //! Open-loop serving storm over gs-serve (§8 fraud mix).
-//!
-//! ```text
-//! storm                           full run, writes BENCH_storm.json
-//! storm --deny                    fail if the baseline phase sheds or errors
-//! storm --seed N                  pin the schedule (default 42)
-//! storm --duration-supersteps K   scale phase length (default 5)
-//! storm --out PATH                output path (default BENCH_storm.json)
-//! ```
+
+use gs_bench::util::Cli;
+
+const USAGE: &str = "\
+usage: storm [--deny] [--seed N] [--duration-supersteps K] [--out PATH]
+  (no flags)                full run, writes BENCH_storm.json
+  --deny                    fail if the baseline phase sheds or errors
+  --seed N                  pin the schedule (default 42)
+  --duration-supersteps K   scale phase length (default 5)
+  --out PATH                output path (default BENCH_storm.json)
+";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny = args.iter().any(|a| a == "--deny");
-    let mut seed = 42u64;
-    let mut supersteps = 5u64;
-    let mut out = "BENCH_storm.json".to_string();
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--seed" => seed = w[1].parse().expect("--seed takes an integer"),
-            "--duration-supersteps" => {
-                supersteps = w[1]
-                    .parse()
-                    .expect("--duration-supersteps takes an integer")
-            }
-            "--out" => out = w[1].clone(),
-            _ => {}
-        }
-    }
-    std::process::exit(gs_bench::storm::run_cli(deny, seed, supersteps, &out));
+    let cli = Cli::from_env(
+        USAGE,
+        &["--deny"],
+        &["--seed", "--duration-supersteps", "--out"],
+        0,
+    );
+    let seed = cli.value("--seed", 42u64);
+    let supersteps = cli.value("--duration-supersteps", 5u64);
+    let out = cli.value("--out", "BENCH_storm.json".to_string());
+    std::process::exit(gs_bench::storm::run_cli(
+        cli.flag("--deny"),
+        seed,
+        supersteps,
+        &out,
+    ));
 }

@@ -46,8 +46,7 @@ fn random_edges(seed: u64, n: usize, degree: usize) -> Vec<(VId, VId)> {
 
 /// PageRank under scheduled worker kills: two workers die at different
 /// supersteps; checkpoint/restart must reproduce the fault-free ranks
-/// within the documented f64 tolerance (the dangling-mass all-reduce sums
-/// in worker-arrival order, so bit equality is not guaranteed).
+/// within the documented f64 tolerance.
 fn pagerank_kills(seed: u64) -> ChaosResult {
     let n = 300;
     let edges = random_edges(seed, n, 5);

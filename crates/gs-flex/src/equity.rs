@@ -95,9 +95,9 @@ pub fn equity_grape_over(
                 });
             }
         }
-        (0..inner as u32)
+        Ok((0..inner as u32)
             .map(|l| (frag.global(l), table[l as usize].clone()))
-            .collect()
+            .collect())
     });
 
     let mut out = Controllers::new();

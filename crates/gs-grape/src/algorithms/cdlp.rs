@@ -43,9 +43,9 @@ pub fn cdlp(engine: &GrapeEngine, rounds: usize) -> Vec<u64> {
                 label[l] = best;
             }
         }
-        (0..inner as u32)
+        Ok((0..inner as u32)
             .map(|l| (frag.global(l), label[l as usize]))
-            .collect()
+            .collect())
     })
 }
 

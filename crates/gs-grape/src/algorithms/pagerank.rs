@@ -9,13 +9,11 @@
 use crate::engine::{ClusterAborted, CommHandle, GrapeEngine};
 use crate::fragment::Fragment;
 use crate::messages::OutBuffers;
-use crate::recover::{checkpoint, run_recoverable, CheckpointStore, RecoveryConfig};
+use crate::recover::{checkpoint, checkpoint_due, CheckpointStore};
 
 /// One PageRank iteration over a fragment: accumulate shares, send one
 /// combined share per outer vertex, all-reduce the dangling mass,
-/// exchange, and recombine. `acc` holds one slot per local id. Shared by
-/// the plain and the recoverable drivers so a restarted run replays the
-/// identical arithmetic of an uninterrupted one.
+/// exchange, and recombine. `acc` holds one slot per local id.
 fn pagerank_step(
     frag: &Fragment,
     comm: &CommHandle,
@@ -60,44 +58,26 @@ fn pagerank_step(
 
 /// Runs `iters` PageRank iterations with the given damping factor; returns
 /// ranks indexed by global id (summing to ~1). With
-/// [`GrapeEngine::with_recovery`] armed, runs under checkpoint/restart.
+/// [`GrapeEngine::with_recovery`] armed, the run checkpoints its ranks
+/// every `interval` iterations, and a restarted attempt resumes from the
+/// last committed checkpoint. The global dangling-mass reduction folds in
+/// a canonical order, so a faulted run reproduces the uninterrupted ranks
+/// bit-for-bit.
 pub fn pagerank(engine: &GrapeEngine, damping: f64, iters: usize) -> Vec<f64> {
-    if let Some(cfg) = engine.recovery.clone() {
-        let store = CheckpointStore::new();
-        return pagerank_recoverable(engine, damping, iters, &cfg, &store);
-    }
-    let n = engine.global_n();
-    engine.run(|frag, comm| {
-        let inner = frag.inner_count;
-        let mut rank = vec![1.0 / n as f64; inner];
-        let mut acc = vec![0.0f64; frag.local_count()];
-        let mut out = OutBuffers::new(comm.workers);
-        for step in 0..iters {
-            gs_chaos::worker_kill_point(comm.my_id, step);
-            pagerank_step(frag, comm, n, damping, &mut rank, &mut acc, &mut out)
-                .expect("pagerank step aborted");
-        }
-        (0..inner as u32)
-            .map(|l| (frag.global(l), rank[l as usize]))
-            .collect()
-    })
+    pagerank_from(engine, damping, iters, &CheckpointStore::new())
 }
 
-/// PageRank under coordinated checkpoint/restart: snapshots the per-
-/// fragment ranks every `cfg.interval` iterations into `store`, detects
-/// dead workers and lost messages, and restarts all workers from the last
-/// committed checkpoint. The replayed arithmetic is identical — the global
-/// dangling-mass f64 reduction folds contributions in a canonical order —
-/// so a faulted run reproduces the uninterrupted ranks bit-for-bit.
-pub fn pagerank_recoverable(
+/// The PageRank loop, resuming from `store`'s committed checkpoint (an
+/// empty store starts from uniform ranks). The store may outlive the
+/// engine, modelling a checkpoint that survives a process replacement.
+pub(crate) fn pagerank_from(
     engine: &GrapeEngine,
     damping: f64,
     iters: usize,
-    cfg: &RecoveryConfig,
     store: &CheckpointStore<Vec<f64>>,
 ) -> Vec<f64> {
     let n = engine.global_n();
-    run_recoverable(engine, cfg, |frag, comm, _attempt| {
+    engine.run(|frag, comm| {
         let inner = frag.inner_count;
         let idx = frag.id.index();
         let (start, mut rank) = match store.restore(idx) {
@@ -109,9 +89,7 @@ pub fn pagerank_recoverable(
         for step in start..iters {
             gs_chaos::worker_kill_point(comm.my_id, step);
             pagerank_step(frag, comm, n, damping, &mut rank, &mut acc, &mut out)?;
-            // gate on globally agreed values only: every worker makes the
-            // identical collective sequence
-            if cfg.interval > 0 && (step + 1) % cfg.interval == 0 && step + 1 < iters {
+            if checkpoint_due(engine, step, iters) {
                 checkpoint(comm, store, idx, step, rank.clone())?;
             }
         }

@@ -48,9 +48,9 @@ pub fn sssp(engine: &GrapeEngine, src: VId) -> Vec<f64> {
                 }
             }
         }
-        (0..inner as u32)
+        Ok((0..inner as u32)
             .map(|l| (frag.global(l), dist[l as usize]))
-            .collect()
+            .collect())
     })
 }
 

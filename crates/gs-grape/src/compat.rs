@@ -229,9 +229,9 @@ pub mod graphx {
                         });
                     });
                 }
-                (0..frag.inner_count as u32)
+                Ok((0..frag.inner_count as u32)
                     .map(|l| (frag.global(l), acc[l as usize].take()))
-                    .collect()
+                    .collect())
             });
             results
         }

@@ -2,19 +2,26 @@
 //! threads, all-to-all compact-buffer message exchange, and barrier-based
 //! global reductions.
 //!
-//! Collectives and exchanges come in two flavors: the infallible methods
-//! ([`CommHandle::exchange`], [`CommHandle::allreduce`]) assume a healthy
-//! cluster and panic if it dies, and the `try_` variants return
-//! [`ClusterAborted`] so the [`recover`](crate::recover) layer can detect
-//! a lost worker or lost message, tear the attempt down, and restart from
-//! the last coordinated checkpoint.
+//! [`GrapeEngine::run`] is the one driver every programming model runs
+//! through. A worker that panics poisons the cluster, so its peers abort
+//! instead of waiting for it. With [`GrapeEngine::with_recovery`] armed,
+//! the driver also detects lost workers and messages, and restarts the
+//! attempt; the programs resume from their last coordinated checkpoint
+//! (see [`recover`](crate::recover)).
+//!
+//! Collectives and exchanges come in two flavors: the `try_` variants
+//! return [`ClusterAborted`], and the infallible methods
+//! ([`CommHandle::exchange`], [`CommHandle::allreduce`]) unwind with a
+//! [`ClusterAborted`] payload, which the driver also counts as an abort.
 
 use crate::fragment::Fragment;
 use crate::messages::{MessageBlock, OutBuffers, Payload};
+use crate::recover::{checkpoint, checkpoint_due, CheckpointStore, PregelState};
 use gs_graph::VId;
 use gs_sanitizer::channel::{unbounded, RecvTimeoutError, TrackedReceiver, TrackedSender};
 use gs_telemetry::counter;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 // gs-lint: allow(L001 GlobalSync pairs the mutex with a Condvar, which has no tracked equivalent; the sanitizer's channel events already cover this rendezvous)
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -82,12 +89,8 @@ pub struct GlobalSync {
 }
 
 impl GlobalSync {
-    pub fn new(workers: usize) -> Arc<Self> {
-        Self::new_with(workers, None)
-    }
-
-    /// A sync with dead-worker detection armed (used by recoverable runs).
-    pub fn new_with(workers: usize, detect: Option<Duration>) -> Arc<Self> {
+    /// A sync for `workers` workers; `Some(d)` arms dead-worker detection.
+    pub fn new(workers: usize, detect: Option<Duration>) -> Arc<Self> {
         Arc::new(Self {
             workers,
             detect,
@@ -188,17 +191,22 @@ impl GlobalSync {
     /// with the same monotonically increasing round number (see
     /// [`CommHandle::allreduce`], which manages the counter).
     pub fn sum_at(&self, round: u64, contribution: u64) -> u64 {
-        self.try_reduce(round, contribution, 0.0)
-            .expect("global sync aborted")
-            .0
+        or_unwind(self.try_reduce(round, contribution, 0.0)).0
     }
 
     /// f64 all-reduce at a collective round (PageRank dangling mass).
     pub fn sum_f64_at(&self, round: u64, contribution: f64) -> f64 {
-        self.try_reduce(round, 0, contribution)
-            .expect("global sync aborted")
-            .1
+        or_unwind(self.try_reduce(round, 0, contribution)).1
     }
+}
+
+/// Unwraps a collective's result, unwinding with the [`ClusterAborted`]
+/// payload if the cluster died. [`GrapeEngine::run`] counts that worker as
+/// aborted and re-raises the failure that poisoned the cluster instead.
+/// `resume_unwind` skips the panic hook, so only the original failure
+/// prints.
+fn or_unwind<T>(r: Result<T, ClusterAborted>) -> T {
+    r.unwrap_or_else(|aborted| resume_unwind(Box::new(aborted)))
 }
 
 /// An exchange packet: sender, the sender's exchange round, and the block.
@@ -232,15 +240,11 @@ pub struct CommHandle {
 }
 
 impl CommHandle {
-    /// Builds a `k`-worker cluster of connected handles.
-    pub fn cluster(k: usize) -> Vec<CommHandle> {
-        Self::cluster_with(k, None)
-    }
-
-    /// Builds a cluster with dead-worker / lost-message detection armed:
-    /// any collective or exchange stalled past `detect` poisons the
-    /// cluster and surfaces [`ClusterAborted`] on every worker.
-    pub fn cluster_with(k: usize, detect: Option<Duration>) -> Vec<CommHandle> {
+    /// Builds a `k`-worker cluster of connected handles. `Some(d)` arms
+    /// dead-worker / lost-message detection: any collective or exchange
+    /// stalled past `d` poisons the cluster and surfaces [`ClusterAborted`]
+    /// on every worker.
+    pub fn cluster(k: usize, detect: Option<Duration>) -> Vec<CommHandle> {
         let mut senders = Vec::with_capacity(k);
         let mut receivers = Vec::with_capacity(k);
         for _ in 0..k {
@@ -248,7 +252,7 @@ impl CommHandle {
             senders.push(tx);
             receivers.push(rx);
         }
-        let sync = GlobalSync::new_with(k, detect);
+        let sync = GlobalSync::new(k, detect);
         receivers
             .into_iter()
             .enumerate()
@@ -276,15 +280,14 @@ impl CommHandle {
         }
     }
 
-    /// Collective all-reduce sum (u64); panics if the cluster aborts.
+    /// Collective all-reduce sum (u64); unwinds if the cluster aborts.
     pub fn allreduce(&self, contribution: u64) -> u64 {
-        self.try_allreduce(contribution).expect("allreduce aborted")
+        or_unwind(self.try_allreduce(contribution))
     }
 
-    /// Collective all-reduce sum (f64); panics if the cluster aborts.
+    /// Collective all-reduce sum (f64); unwinds if the cluster aborts.
     pub fn allreduce_f64(&self, contribution: f64) -> f64 {
-        self.try_allreduce_f64(contribution)
-            .expect("allreduce aborted")
+        or_unwind(self.try_allreduce_f64(contribution))
     }
 
     /// Fallible all-reduce sum (u64).
@@ -306,10 +309,10 @@ impl CommHandle {
     /// All-to-all exchange: sends one block to every worker (including
     /// self), receives exactly one block *from* every worker for this
     /// round. Returns the received blocks (indexed by sender) and the total
-    /// message count delivered to *this* worker. Panics if the cluster
+    /// message count delivered to *this* worker. Unwinds if the cluster
     /// aborts mid-exchange.
     pub fn exchange(&self, out: &mut OutBuffers) -> (Vec<MessageBlock>, u64) {
-        self.try_exchange(out).expect("exchange aborted")
+        or_unwind(self.try_exchange(out))
     }
 
     /// Fallible all-to-all exchange. Under an installed fault plan the
@@ -363,37 +366,24 @@ impl CommHandle {
         let stall_start = gs_telemetry::enabled().then(Instant::now);
         let mut deadline = self.detect.map(|d| Instant::now() + d);
         while got < self.workers {
-            let packet = if self.detect.is_some() {
-                if let Some(why) = self.sync.poisoned() {
-                    return Err(ClusterAborted(why));
-                }
-                let dl = deadline.expect("deadline set with detect");
-                let now = Instant::now();
-                if now >= dl {
-                    self.sync
-                        .poison("exchange stalled: message lost or worker dead");
-                    return Err(ClusterAborted(
-                        "exchange stalled: message lost or worker dead",
-                    ));
-                }
-                match self.receiver.recv_timeout(POLL.min(dl - now)) {
-                    Ok(p) => p,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.sync.poison("exchange channel disconnected");
-                        return Err(ClusterAborted("exchange channel disconnected"));
+            let (from, r, block) = match self.receiver.recv_timeout(POLL) {
+                Ok(p) => p,
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(why) = self.sync.poisoned() {
+                        return Err(ClusterAborted(why));
                     }
-                }
-            } else {
-                match self.receiver.recv() {
-                    Ok(p) => p,
-                    Err(_) => {
-                        self.sync.poison("exchange channel disconnected");
-                        return Err(ClusterAborted("exchange channel disconnected"));
+                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                        const LOST: &str = "exchange stalled: message lost or worker dead";
+                        self.sync.poison(LOST);
+                        return Err(ClusterAborted(LOST));
                     }
+                    continue;
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.sync.poison("exchange channel disconnected");
+                    return Err(ClusterAborted("exchange channel disconnected"));
                 }
             };
-            let (from, r, block) = packet;
             // any receive is progress: push the loss-detection deadline out
             deadline = self.detect.map(|d| Instant::now() + d);
             match r.cmp(&round) {
@@ -435,10 +425,10 @@ impl CommHandle {
 /// worker thread per fragment.
 pub struct GrapeEngine {
     pub fragments: Vec<Fragment>,
-    /// When set, programs that support it (Pregel, PageRank) run under the
-    /// [`recover`](crate::recover) layer: coordinated checkpoints every
-    /// `interval` supersteps, dead-worker detection, restart from the last
-    /// checkpoint instead of crashing.
+    /// When set, [`run`](Self::run) detects dead workers and lost messages
+    /// and restarts failed attempts, and the programs that checkpoint
+    /// (Pregel, PageRank) do so every `interval` supersteps, so a restart
+    /// resumes from the last checkpoint instead of from the beginning.
     pub recovery: Option<crate::recover::RecoveryConfig>,
 }
 
@@ -495,7 +485,7 @@ impl GrapeEngine {
             .map_or(gs_graph::LayoutKind::Csr, |f| f.layout())
     }
 
-    /// Arms checkpoint/restart recovery for the programs that support it.
+    /// Arms checkpoint/restart recovery.
     pub fn with_recovery(mut self, cfg: crate::recover::RecoveryConfig) -> Self {
         self.recovery = Some(cfg);
         self
@@ -509,34 +499,73 @@ impl GrapeEngine {
     /// Runs a per-fragment worker function in parallel and gathers each
     /// fragment's `(global id, value)` results into one global vector.
     /// The worker receives `(fragment, comm)`.
+    ///
+    /// A worker that panics poisons the cluster, so its peers abort
+    /// instead of blocking on it. An attempt that aborts — on an injected
+    /// fault ([`gs_chaos::ChaosUnwind`]) or a [`ClusterAborted`] — is
+    /// retried while [`recovery`](Self::recovery) allows; the worker
+    /// restores its own state from a [`CheckpointStore`]. Any other panic
+    /// is re-raised with its original payload, never retried.
+    /// Unarmed, there is one attempt and no detection deadline.
     pub fn run<T, F>(&self, worker: F) -> Vec<T>
     where
         T: Clone + Default + Send + 'static,
-        F: Fn(&Fragment, &CommHandle) -> Vec<(VId, T)> + Sync,
+        F: Fn(&Fragment, &CommHandle) -> Result<Vec<(VId, T)>, ClusterAborted> + Sync,
     {
-        let k = self.fragments.len();
-        let comms = CommHandle::cluster(k);
-        let results: Vec<Vec<(VId, T)>> = crossbeam::thread::scope(|s| {
-            let worker = &worker;
-            let handles: Vec<_> = self
-                .fragments
-                .iter()
-                .zip(comms)
-                .map(|(frag, comm)| s.spawn(move |_| worker(frag, &comm)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("grape worker panicked"))
-                .collect()
-        })
-        .expect("grape scope");
-        let mut global = vec![T::default(); self.global_n()];
-        for part in results {
-            for (g, v) in part {
-                global[g.index()] = v;
+        let (max_restarts, detect) = self
+            .recovery
+            .as_ref()
+            .map_or((0, None), |c| (c.max_restarts, Some(c.detect_timeout)));
+        for attempt in 0..=max_restarts {
+            if attempt > 0 {
+                counter!("grape.recovery.restarts");
+            }
+            let comms = CommHandle::cluster(self.fragments.len(), detect);
+            let results: Vec<_> = crossbeam::thread::scope(|s| {
+                let worker = &worker;
+                let handles: Vec<_> = self
+                    .fragments
+                    .iter()
+                    .zip(comms)
+                    .map(|(frag, comm)| {
+                        s.spawn(move |_| {
+                            let r = catch_unwind(AssertUnwindSafe(|| worker(frag, &comm)));
+                            if r.is_err() {
+                                // unblock the peers before this thread exits
+                                comm.sync.poison("peer worker panicked");
+                            }
+                            r
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("the worker wrapper catches every panic"))
+                    .collect()
+            })
+            .expect("grape scope");
+
+            let mut parts = Vec::with_capacity(results.len());
+            let mut aborted = false;
+            for r in results {
+                match r {
+                    Ok(Ok(part)) => parts.push(part),
+                    Ok(Err(_)) => aborted = true,
+                    Err(p) if p.is::<ClusterAborted>() || gs_chaos::is_chaos_unwind(&*p) => {
+                        aborted = true
+                    }
+                    Err(p) => resume_unwind(p),
+                }
+            }
+            if !aborted {
+                let mut global = vec![T::default(); self.global_n()];
+                for (g, v) in parts.into_iter().flatten() {
+                    global[g.index()] = v;
+                }
+                return global;
             }
         }
-        global
+        panic!("grape: run aborted; restart budget of {max_restarts} exhausted");
     }
 }
 
@@ -576,14 +605,14 @@ pub trait PregelProgram: Sync {
 /// dense slot per local id (inner vertices first, then outer mirrors).
 /// Empty until the first send finds that the program combines, so
 /// programs without a combiner keep the per-message path.
-pub(crate) struct SenderSlots<M> {
+struct SenderSlots<M> {
     slots: Vec<Option<M>>,
     /// `None` until the first send probes the combiner.
     combining: Option<bool>,
 }
 
 impl<M: Payload> SenderSlots<M> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             slots: Vec::new(),
             combining: None,
@@ -673,17 +702,15 @@ impl<'a, M: Payload> PregelContext<'a, M> {
 }
 
 /// One Pregel superstep over a fragment: compute phase, exchange, inbox
-/// fill (with combining), and the global termination reduction. Shared by
-/// the plain and the recoverable drivers so both execute the byte-
-/// identical per-step logic. Returns `Ok(true)` to continue, `Ok(false)`
-/// on global termination.
+/// fill (with combining), and the global termination reduction. Returns
+/// `Ok(true)` to continue, `Ok(false)` on global termination.
 ///
 /// A combining program's messages wait in `staged` until the compute
 /// phase ends: each mirror's combined value then goes to its owner as one
 /// message, and each inner vertex's goes straight into its inbox, at the
 /// position of this worker's own block so inboxes fold in sender order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pregel_step<P: PregelProgram>(
+fn pregel_step<P: PregelProgram>(
     program: &P,
     frag: &Fragment,
     comm: &CommHandle,
@@ -754,27 +781,31 @@ pub(crate) fn pregel_step<P: PregelProgram>(
 
 /// Runs a Pregel program to fixpoint (or `max_steps`), returning per-vertex
 /// values indexed by global id. With [`GrapeEngine::with_recovery`] armed,
-/// delegates to the checkpoint/restart driver in [`recover`](crate::recover).
+/// the run also checkpoints every `interval` supersteps, and a restarted
+/// attempt resumes from the last committed checkpoint.
 pub fn run_pregel<P: PregelProgram>(
     engine: &GrapeEngine,
     program: &P,
     max_steps: usize,
 ) -> Vec<P::Value> {
-    if let Some(cfg) = engine.recovery.clone() {
-        let store = crate::recover::CheckpointStore::new();
-        return crate::recover::run_pregel_recoverable(engine, program, max_steps, &cfg, &store);
-    }
+    let store = CheckpointStore::<PregelState<P::Msg, P::Value>>::new();
     engine.run(|frag, comm| {
         let n_inner = frag.inner_count;
-        let mut values: Vec<P::Value> = (0..n_inner)
-            .map(|l| program.init(frag.global(l as u32), frag))
-            .collect();
-        let mut active = vec![true; n_inner];
-        let mut inboxes: Vec<Vec<P::Msg>> = vec![Vec::new(); n_inner];
+        let idx = frag.id.index();
+        let (start, mut values, mut active, mut inboxes) = match store.restore(idx) {
+            Some((step, st)) => (step + 1, st.values, st.active, st.inboxes),
+            None => (
+                0,
+                (0..n_inner)
+                    .map(|l| program.init(frag.global(l as u32), frag))
+                    .collect(),
+                vec![true; n_inner],
+                vec![Vec::new(); n_inner],
+            ),
+        };
         let mut out = OutBuffers::new(comm.workers);
         let mut staged = SenderSlots::new();
-
-        for step in 0..max_steps {
+        for step in start..max_steps {
             gs_chaos::worker_kill_point(comm.my_id, step);
             let cont = pregel_step(
                 program,
@@ -786,15 +817,22 @@ pub fn run_pregel<P: PregelProgram>(
                 &mut inboxes,
                 &mut out,
                 &mut staged,
-            )
-            .expect("pregel step aborted");
+            )?;
             if !cont {
                 break;
             }
+            if checkpoint_due(engine, step, max_steps) {
+                let snapshot = PregelState {
+                    values: values.clone(),
+                    active: active.clone(),
+                    inboxes: inboxes.clone(),
+                };
+                checkpoint(comm, &store, idx, step, snapshot)?;
+            }
         }
-        (0..n_inner)
+        Ok((0..n_inner)
             .map(|l| (frag.global(l as u32), values[l].clone()))
-            .collect()
+            .collect())
     })
 }
 
@@ -889,7 +927,7 @@ mod tests {
 
     #[test]
     fn global_sync_sums_across_workers() {
-        let comms = CommHandle::cluster(4);
+        let comms = CommHandle::cluster(4, None);
         let totals: Vec<u64> = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .into_iter()
@@ -912,7 +950,7 @@ mod tests {
     #[test]
     fn global_sync_round_map_stays_bounded_over_long_runs() {
         let workers = 4;
-        let sync = GlobalSync::new(workers);
+        let sync = GlobalSync::new(workers, None);
         let rounds = 2_000u64;
         crossbeam::thread::scope(|s| {
             for w in 0..workers {
@@ -939,7 +977,7 @@ mod tests {
     /// instead of deadlocking on a peer that never arrives.
     #[test]
     fn poison_unblocks_waiting_workers() {
-        let sync = GlobalSync::new(2);
+        let sync = GlobalSync::new(2, None);
         let s2 = Arc::clone(&sync);
         let waiter = std::thread::spawn(move || s2.try_reduce(0, 1, 0.0));
         std::thread::sleep(Duration::from_millis(20));
@@ -953,7 +991,7 @@ mod tests {
     /// contributor aborts after the window instead of hanging forever.
     #[test]
     fn armed_sync_detects_missing_worker() {
-        let sync = GlobalSync::new_with(2, Some(Duration::from_millis(50)));
+        let sync = GlobalSync::new(2, Some(Duration::from_millis(50)));
         let got = sync.try_reduce(0, 1, 0.0);
         assert!(got.is_err(), "lone worker must time out");
         assert!(sync.poisoned().is_some());
@@ -963,7 +1001,7 @@ mod tests {
     /// detection window (this is how message loss surfaces).
     #[test]
     fn armed_exchange_detects_lost_block() {
-        let mut comms = CommHandle::cluster_with(2, Some(Duration::from_millis(60)));
+        let mut comms = CommHandle::cluster(2, Some(Duration::from_millis(60)));
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
         // worker 1 never sends; worker 0's exchange must abort, not hang

@@ -153,7 +153,7 @@ where
             comm,
             out: OutBuffers::new(comm.workers),
         };
-        program(&mut ctx)
+        Ok(program(&mut ctx))
     })
 }
 

@@ -95,7 +95,7 @@ pub fn run_pie<P: PieProgram>(engine: &GrapeEngine, program: &P, max_rounds: usi
             };
             program.inc_eval(frag, &mut state, &msgs, &mut ctx);
         }
-        program.collect(frag, &state)
+        Ok(program.collect(frag, &state))
     })
 }
 
