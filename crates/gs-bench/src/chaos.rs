@@ -1,9 +1,10 @@
 //! `gs-bench chaos` — run a seeded fault-injection corpus and assert
 //! chaos equivalence: every workload must finish under injected faults
 //! with the same answer a fault-free run produces (byte-identical for the
-//! integer algorithms, within a documented 1e-9 tolerance for PageRank's
-//! f64 reductions), or degrade along its documented ladder (retries,
-//! skipped batches) without losing accounting.
+//! integer algorithms, and `to_bits`-identical for PageRank, whose exchange
+//! blocks fold in sender order and whose dangling-mass reduction is
+//! canonical), or degrade along its documented ladder (retries, skipped
+//! batches) without losing accounting.
 //!
 //! Mirrors `irlint` and `sanitize` one robustness layer up: the table
 //! lists each workload, the faults the plan actually injected, and the
@@ -44,9 +45,20 @@ fn random_edges(seed: u64, n: usize, degree: usize) -> Vec<(VId, VId)> {
         .collect()
 }
 
+/// How many ranks differ from the fault-free run in their bits (a length
+/// mismatch counts every missing or extra rank).
+fn rank_bit_mismatches(want: &[f64], got: &[f64]) -> usize {
+    let differ = want
+        .iter()
+        .zip(got)
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    differ + want.len().abs_diff(got.len())
+}
+
 /// PageRank under scheduled worker kills: two workers die at different
-/// supersteps; checkpoint/restart must reproduce the fault-free ranks
-/// within the documented f64 tolerance.
+/// supersteps; checkpoint/restart must reproduce the fault-free ranks bit
+/// for bit.
 fn pagerank_kills(seed: u64) -> ChaosResult {
     let n = 300;
     let edges = random_edges(seed, n, 5);
@@ -59,20 +71,18 @@ fn pagerank_kills(seed: u64) -> ChaosResult {
             .with_recovery(RecoveryConfig::default().interval(3));
         gs_grape::algorithms::pagerank(&engine, 0.85, 12)
     });
-    let max_dev = want
-        .iter()
-        .zip(&got)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
+    let differing = rank_bit_mismatches(&want, &got);
     let outcome = if stats.worker_kills != 2 {
         Err(format!(
             "expected 2 worker kills, saw {}",
             stats.worker_kills
         ))
-    } else if max_dev > 1e-9 {
-        Err(format!("ranks deviate by {max_dev:e} (tolerance 1e-9)"))
+    } else if differing > 0 {
+        Err(format!(
+            "{differing} ranks differ in their bits from the fault-free run"
+        ))
     } else {
-        Ok("ranks within 1e-9 of the fault-free run")
+        Ok("ranks bit-identical to the fault-free run")
     };
     ChaosResult {
         workload: "pagerank-kills",
@@ -85,7 +95,7 @@ fn pagerank_kills(seed: u64) -> ChaosResult {
 /// exchange carries one combined share per outer vertex, so a lost or
 /// doubled message would move a whole vertex's sum: duplicates must be
 /// filtered, delays filed under their round, and drops must abort and
-/// restart from a checkpoint. Ranks stay within 1e-9 of the fault-free
+/// restart from a checkpoint. Ranks stay bit-identical to the fault-free
 /// run.
 fn pagerank_msgfaults(seed: u64) -> ChaosResult {
     let n = 300;
@@ -102,17 +112,15 @@ fn pagerank_msgfaults(seed: u64) -> ChaosResult {
         );
         gs_grape::algorithms::pagerank(&engine, 0.85, 12)
     });
-    let max_dev = want
-        .iter()
-        .zip(&got)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
+    let differing = rank_bit_mismatches(&want, &got);
     let outcome = if stats.msgs_dropped + stats.msgs_duplicated + stats.msgs_delayed == 0 {
         Err("plan injected no message faults".to_string())
-    } else if max_dev > 1e-9 {
-        Err(format!("ranks deviate by {max_dev:e} (tolerance 1e-9)"))
+    } else if differing > 0 {
+        Err(format!(
+            "{differing} ranks differ in their bits from the fault-free run"
+        ))
     } else {
-        Ok("ranks within 1e-9 of the fault-free run")
+        Ok("ranks bit-identical to the fault-free run")
     };
     ChaosResult {
         workload: "pagerank-msgfaults",

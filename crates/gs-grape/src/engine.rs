@@ -193,11 +193,6 @@ impl GlobalSync {
     pub fn sum_at(&self, round: u64, contribution: u64) -> u64 {
         or_unwind(self.try_reduce(round, contribution, 0.0)).0
     }
-
-    /// f64 all-reduce at a collective round (PageRank dangling mass).
-    pub fn sum_f64_at(&self, round: u64, contribution: f64) -> f64 {
-        or_unwind(self.try_reduce(round, 0, contribution)).1
-    }
 }
 
 /// Unwraps a collective's result, unwinding with the [`ClusterAborted`]

@@ -5,6 +5,9 @@
 //! dense ids place inner vertices first (`0..inner_count`) and outer
 //! mirrors after, so per-vertex state is a flat array — the layout GRAPE's
 //! "highly optimized core operators for fragment management" rely on.
+//! The global→local map is a dense array over the global id space
+//! (`global_n × 4` bytes per fragment), so construction and every message
+//! lookup are array indexing with no hashing.
 //!
 //! Topology is held as a [`TopologyLayout`] (plain, sorted, or compressed
 //! CSR — see [`gs_graph::layout`]); algorithms traverse through the
@@ -14,14 +17,18 @@
 //! than cores (or skewed fragment sizes), idle workers steal pending
 //! builds instead of waiting on stragglers.
 
-use gs_graph::csr::Csr;
+use gs_graph::csr::CsrBuilder;
 use gs_graph::layout::{LayoutKind, TopologyLayout};
 use gs_graph::partition::{EdgeCutPartitioner, PartitionId};
 use gs_graph::{EId, VId};
 use gs_sanitizer::TrackedMutex;
 use gs_telemetry::counter;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// `g2l` entry of a global id that is not on the fragment.
+const ABSENT: u32 = u32::MAX;
+/// `g2l` mark of an outer mirror while the build has not yet numbered it.
+const MIRROR: u32 = u32::MAX - 1;
 
 /// One fragment of a partitioned (optionally weighted) graph.
 pub struct Fragment {
@@ -33,8 +40,10 @@ pub struct Fragment {
     pub router: EdgeCutPartitioner,
     /// local id → global id (inner first, then outer).
     pub l2g: Vec<VId>,
-    /// global id → local id.
-    g2l: HashMap<VId, u32>,
+    /// global id → local id, dense over the whole global id space
+    /// ([`ABSENT`] where the vertex is not on this fragment): one array
+    /// index per lookup, for `global_n × 4` bytes.
+    g2l: Vec<u32>,
     /// Number of inner (owned) vertices.
     pub inner_count: usize,
     /// Local adjacency over local ids (edges sourced at inner vertices),
@@ -45,6 +54,47 @@ pub struct Fragment {
     pub inn: TopologyLayout,
     /// Optional edge weights parallel to `out` edge ids.
     pub weights: Option<Vec<f64>>,
+}
+
+/// One fragment's routed share of a global edge list: the edges sourced at
+/// the vertices it owns, in routing order, with their weights when the
+/// graph is weighted. Edge ids follow this order.
+struct Share {
+    edges: Vec<(VId, VId)>,
+    weights: Option<Vec<f64>>,
+}
+
+/// A global edge list being routed to `k` fragments: each pushed edge goes
+/// to the share of its source's owner, in push order.
+pub(crate) struct Shares {
+    router: EdgeCutPartitioner,
+    shares: Vec<Share>,
+}
+
+impl Shares {
+    /// Empty shares for `k` fragments, share `i` with room for
+    /// `capacity(i)` edges.
+    pub(crate) fn new(k: usize, weighted: bool, capacity: impl Fn(usize) -> usize) -> Self {
+        Shares {
+            router: EdgeCutPartitioner::new(k),
+            shares: (0..k)
+                .map(|i| Share {
+                    edges: Vec::with_capacity(capacity(i)),
+                    weights: weighted.then(|| Vec::with_capacity(capacity(i))),
+                })
+                .collect(),
+        }
+    }
+
+    /// Routes one edge; `weight` is kept only if the shares are weighted.
+    #[inline]
+    pub(crate) fn push(&mut self, edge: (VId, VId), weight: f64) {
+        let share = &mut self.shares[self.router.owner(edge.0).index()];
+        share.edges.push(edge);
+        if let Some(ws) = &mut share.weights {
+            ws.push(weight);
+        }
+    }
 }
 
 impl Fragment {
@@ -76,11 +126,9 @@ impl Fragment {
     /// Partitions with optional per-edge weights (parallel to `edges`),
     /// materialising topology in `layout`.
     ///
-    /// Routing is a single sequential pass (inner vertices in ascending
-    /// global order, edges and their weights in global order, keyed by the
-    /// source's owner); the per-fragment CSR/CSC construction then runs on
-    /// a work-stealing pool of `min(k, cores)` threads — fragments are
-    /// tasks, so a straggler fragment no longer serialises the tail.
+    /// Routes every edge (and its weight) to its source's owner in global
+    /// order, into shares sized exactly by a counting pass, then runs the
+    /// same per-fragment build as the GRIN loader.
     pub fn partition_weighted_with_layout(
         n: usize,
         edges: &[(VId, VId)],
@@ -89,32 +137,28 @@ impl Fragment {
         layout: LayoutKind,
     ) -> Vec<Fragment> {
         let router = EdgeCutPartitioner::new(k);
-        let mut inner: Vec<Vec<VId>> = vec![Vec::new(); k];
-        for v in 0..n as u64 {
-            inner[router.owner(VId(v)).index()].push(VId(v));
+        let mut sizes = vec![0usize; k];
+        for &(s, _) in edges {
+            sizes[router.owner(s).index()] += 1;
         }
-        let mut frag_edges: Vec<Vec<(VId, VId)>> = vec![Vec::new(); k];
-        let mut frag_weights: Vec<Vec<f64>> = vec![Vec::new(); k];
-        for (i, &(s, d)) in edges.iter().enumerate() {
-            let f = router.owner(s).index();
-            frag_edges[f].push((s, d));
-            if let Some(ws) = weights {
-                frag_weights[f].push(ws[i]);
-            }
+        let mut shares = Shares::new(k, weights.is_some(), |i| sizes[i]);
+        for (i, &edge) in edges.iter().enumerate() {
+            shares.push(edge, weights.map_or(0.0, |ws| ws[i]));
         }
-        // one fragment's routed share: (index, owned vertices, edges, weights)
-        type RoutedShare = (usize, Vec<VId>, Vec<(VId, VId)>, Option<Vec<f64>>);
-        let parts: Vec<TrackedMutex<Option<RoutedShare>>> = inner
+        Self::build_all(n, shares, layout)
+    }
+
+    /// Builds one fragment per routed share.
+    ///
+    /// The builds run on a work-stealing pool of `min(k, cores)` threads —
+    /// fragments are tasks, so a straggler fragment does not serialise the
+    /// tail.
+    pub(crate) fn build_all(n: usize, shares: Shares, layout: LayoutKind) -> Vec<Fragment> {
+        let Shares { router, shares } = shares;
+        let k = shares.len();
+        let parts: Vec<TrackedMutex<Option<Share>>> = shares
             .into_iter()
-            .zip(frag_edges)
-            .zip(frag_weights)
-            .enumerate()
-            .map(|(i, ((inn, e), w))| {
-                TrackedMutex::new(
-                    "grape.fragment.part",
-                    Some((i, inn, e, weights.is_some().then_some(w))),
-                )
-            })
+            .map(|share| TrackedMutex::new("grape.fragment.part", Some(share)))
             .collect();
         let slots: Vec<TrackedMutex<Option<Fragment>>> = (0..k)
             .map(|_| TrackedMutex::new("grape.fragment.slot", None))
@@ -143,10 +187,9 @@ impl Fragment {
                         if claimed > 1 {
                             counter!("grape.steal.build_stolen");
                         }
-                        let (idx, inn, e, w) = parts[i].lock().take().expect("task claimed once");
-                        let frag =
-                            Self::build(PartitionId(idx as u32), router, n, inn, &e, w, layout);
-                        *slots[idx].lock() = Some(frag);
+                        let share = parts[i].lock().take().expect("task claimed once");
+                        let frag = Self::build(PartitionId(i as u32), router, n, share, layout);
+                        *slots[i].lock() = Some(frag);
                     }
                 });
             }
@@ -159,44 +202,52 @@ impl Fragment {
             .collect()
     }
 
-    /// Builds one fragment from its routed share: owned vertices (ascending
-    /// global order), edges sourced at them (global order), and weights
-    /// parallel to those edges.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds one fragment from its routed share in O(n + edges) array
+    /// work: inner vertices take local ids in ascending global order,
+    /// outer mirrors (marked in `g2l` while scanning the share) follow in
+    /// ascending global order, and the out-CSR is built straight from the
+    /// share through `g2l`, so edge `i` of the share gets edge id `i` and
+    /// the share's weights are already in edge-id order.
     fn build(
         id: PartitionId,
         router: EdgeCutPartitioner,
         n: usize,
-        inner: Vec<VId>,
-        edges: &[(VId, VId)],
-        weights: Option<Vec<f64>>,
+        share: Share,
         layout: LayoutKind,
     ) -> Fragment {
-        let mut outer: Vec<VId> = Vec::new();
-        {
-            let mut seen = std::collections::HashSet::new();
-            for &(_, d) in edges {
-                if router.owner(d) != id && seen.insert(d) {
-                    outer.push(d);
-                }
+        assert!(n < MIRROR as usize, "global id space exceeds u32 local ids");
+        let Share { edges, weights } = share;
+        let mut g2l = vec![ABSENT; n];
+        let mut l2g: Vec<VId> = Vec::new();
+        for (g, slot) in g2l.iter_mut().enumerate() {
+            if router.owner(VId(g as u64)) == id {
+                *slot = l2g.len() as u32;
+                l2g.push(VId(g as u64));
             }
         }
-        outer.sort_unstable();
-        let inner_count = inner.len();
-        let mut l2g = inner;
-        l2g.extend(outer);
-        let g2l: HashMap<VId, u32> = l2g
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u32))
-            .collect();
-        let local_edges: Vec<(VId, VId)> = edges
-            .iter()
-            .map(|&(s, d)| (VId(g2l[&s] as u64), VId(g2l[&d] as u64)))
-            .collect();
-        // Csr::from_edges assigns edge id i to the i-th pushed pair, so the
-        // routed weight vector is already in edge-id order.
-        let out_csr = Csr::from_edges(l2g.len(), &local_edges);
+        let inner_count = l2g.len();
+        for &(_, d) in &edges {
+            let slot = &mut g2l[d.index()];
+            if *slot == ABSENT {
+                *slot = MIRROR;
+            }
+        }
+        for (g, slot) in g2l.iter_mut().enumerate() {
+            if *slot == MIRROR {
+                *slot = l2g.len() as u32;
+                l2g.push(VId(g as u64));
+            }
+        }
+        let local = |g: VId| VId(g2l[g.index()] as u64);
+        let mut b = CsrBuilder::new(l2g.len());
+        for &(s, _) in &edges {
+            b.add_degree(local(s));
+        }
+        b.finish_degrees();
+        for &(s, d) in &edges {
+            b.push_edge(local(s), local(d));
+        }
+        let out_csr = b.build();
         let inn_csr = out_csr.transpose();
         Fragment {
             id,
@@ -221,7 +272,10 @@ impl Fragment {
     /// Local id of a global vertex, if present on this fragment.
     #[inline]
     pub fn local(&self, g: VId) -> Option<u32> {
-        self.g2l.get(&g).copied()
+        match self.g2l.get(g.index()) {
+            Some(&l) if l != ABSENT => Some(l),
+            _ => None,
+        }
     }
 
     /// Global id of a local vertex.
@@ -332,16 +386,60 @@ mod tests {
         assert_eq!(edge_total, 100);
     }
 
+    /// A multigraph over 40 vertices: a ring over 0..30 plus parallel
+    /// edges, self-loops and a hub; vertices 30..40 have no edges.
+    fn multigraph() -> (usize, Vec<(VId, VId)>) {
+        let mut edges = ring(30);
+        let extra = [
+            (0, 1),
+            (0, 1),
+            (0, 1),
+            (5, 5),
+            (7, 7),
+            (7, 7),
+            (12, 3),
+            (3, 12),
+        ];
+        for (s, d) in extra {
+            edges.push((VId(s), VId(d)));
+        }
+        for d in (0..30).rev() {
+            edges.push((VId(20), VId(d)));
+            edges.push((VId(20), VId(d % 4)));
+        }
+        (40, edges)
+    }
+
+    /// `(n, edges, fragment counts)`: one input and the `k`s to split it by.
+    type Case = (usize, Vec<(VId, VId)>, Vec<usize>);
+
+    /// The cases shared by the tests below.
+    fn cases() -> Vec<Case> {
+        let (n, multi) = multigraph();
+        vec![(50, ring(50), vec![3]), (n, multi, vec![1, 3, 64])]
+    }
+
     #[test]
     fn local_global_round_trip() {
-        let edges = ring(50);
-        let frags = Fragment::partition_edges(50, &edges, 3);
-        for f in &frags {
-            for l in 0..f.local_count() as u32 {
-                let g = f.global(l);
-                assert_eq!(f.local(g), Some(l));
-                if f.is_inner(l) {
-                    assert_eq!(f.owner(g), f.id);
+        for (n, edges, ks) in cases() {
+            for k in ks {
+                let frags = Fragment::partition_edges(n, &edges, k);
+                for f in &frags {
+                    for l in 0..f.local_count() as u32 {
+                        let g = f.global(l);
+                        assert_eq!(f.local(g), Some(l));
+                        if f.is_inner(l) {
+                            assert_eq!(f.owner(g), f.id);
+                        }
+                    }
+                    // ids not on the fragment, and ids past the global id
+                    // space, have no local id
+                    for g in 0..n as u64 + 3 {
+                        if !f.l2g.contains(&VId(g)) {
+                            assert_eq!(f.local(VId(g)), None, "k={k} frag {:?} g={g}", f.id);
+                        }
+                    }
+                    assert_eq!(f.local(VId(u64::MAX)), None);
                 }
             }
         }
@@ -419,10 +517,38 @@ mod tests {
 
     #[test]
     fn layouts_produce_identical_fragments() {
-        let edges = ring(40);
-        let base = Fragment::partition_edges(40, &edges, 3);
+        for (n, edges, ks) in cases() {
+            for k in ks {
+                assert_layouts_agree(n, &edges, k);
+            }
+        }
+    }
+
+    fn assert_layouts_agree(n: usize, edges: &[(VId, VId)], k: usize) {
+        let base = Fragment::partition_edges(n, edges, k);
+        assert_eq!(
+            base.iter().map(|f| f.edge_count()).sum::<usize>(),
+            edges.len()
+        );
+        // edge id i is the i-th input edge sourced on the fragment, and
+        // every list is sorted by neighbour
+        for f in &base {
+            let share: Vec<(VId, VId)> = edges
+                .iter()
+                .copied()
+                .filter(|&(s, _)| f.owner(s) == f.id)
+                .collect();
+            for l in 0..f.local_count() as u32 {
+                let mut prev = VId(0);
+                f.for_each_out(l, |w, e| {
+                    assert_eq!(share[e.index()], (f.global(l), f.global(w.0 as u32)));
+                    assert!(prev <= w);
+                    prev = w;
+                });
+            }
+        }
         for layout in [LayoutKind::SortedCsr, LayoutKind::CompressedCsr] {
-            let frags = Fragment::partition_edges_with_layout(40, &edges, 3, layout);
+            let frags = Fragment::partition_edges_with_layout(n, edges, k, layout);
             for (a, b) in base.iter().zip(&frags) {
                 assert_eq!(b.layout(), layout);
                 assert_eq!(a.inner_count, b.inner_count);

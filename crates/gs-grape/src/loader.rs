@@ -12,7 +12,7 @@
 //! fallback. Telemetry counters record which path fed the load.
 
 use crate::engine::GrapeEngine;
-use crate::fragment::Fragment;
+use crate::fragment::{Fragment, Shares};
 use gs_grin::{Capabilities, Direction, GraphError, GrinGraph, LabelId, Result, VId};
 use gs_telemetry::{counter, span};
 
@@ -121,8 +121,10 @@ impl VertexSpace {
 ///
 /// Validates [`REQUIRED_CAPABILITIES`] first (structured
 /// [`GraphError::UnsupportedCapability`] on failure, like the query
-/// engines), then flattens the selected vertex labels into one id space and
-/// routes every selected edge through [`Fragment::partition_weighted`].
+/// engines), then flattens the selected vertex labels into one id space,
+/// routes every selected edge to its source owner's share during the
+/// adjacency scan, and builds the fragments from those shares (the same
+/// build [`Fragment::partition_weighted`] uses).
 pub fn load_fragments(
     graph: &dyn GrinGraph,
     proj: &GrinProjection,
@@ -183,9 +185,19 @@ pub fn load_fragments(
             .collect(),
     };
 
-    // 3. scan each edge label's adjacency into the flattened edge list
-    let mut edges: Vec<(VId, VId)> = Vec::new();
-    let mut weights: Option<Vec<f64>> = proj.weight_property.as_ref().map(|_| Vec::new());
+    // 3. scan each edge label's adjacency, routing every edge (and its
+    //    reverse, when symmetrizing) straight into its source owner's share
+    let copies = if proj.symmetrize { 2 } else { 1 };
+    let expected: usize = elabels
+        .iter()
+        .map(|&el| graph.edge_count(el))
+        .sum::<usize>()
+        * copies;
+    // hash routing splits edges near evenly; the slack absorbs the skew
+    let mut shares = Shares::new(fragments, proj.weight_property.is_some(), |_| {
+        expected.div_ceil(fragments) + expected / (8 * fragments)
+    });
+    let mut loaded = 0usize;
     for &el in &elabels {
         let def = schema.edge_label(el)?;
         let sbase = space.base(def.src).expect("validated");
@@ -194,41 +206,29 @@ pub fn load_fragments(
             .weight_property
             .as_ref()
             .and_then(|name| schema.edge_property(el, name).map(|p| p.id));
-        edges.reserve(graph.edge_count(el));
         let bulk = graph.scan_adjacency(def.src, el, Direction::Out, &mut |v, nbrs, eids| {
+            let s = VId(sbase + v.0);
             for (i, &nbr) in nbrs.iter().enumerate() {
-                let s = VId(sbase + v.0);
                 let d = VId(dbase + nbr.0);
-                edges.push((s, d));
+                let w = wprop
+                    .and_then(|p| graph.edge_property(el, eids[i], p).as_float())
+                    .unwrap_or(1.0);
+                shares.push((s, d), w);
                 if proj.symmetrize {
-                    edges.push((d, s));
-                }
-                if let Some(ws) = &mut weights {
-                    let w = wprop
-                        .and_then(|p| graph.edge_property(el, eids[i], p).as_float())
-                        .unwrap_or(1.0);
-                    ws.push(w);
-                    if proj.symmetrize {
-                        ws.push(w);
-                    }
+                    shares.push((d, s), w);
                 }
             }
+            loaded += nbrs.len() * copies;
         });
         counter!(
             "grape.load.adjacency_scans",
             path = if bulk { "bulk" } else { "iter" }
         );
     }
-    counter!("grape.load.edges"; edges.len() as u64);
+    counter!("grape.load.edges"; loaded as u64);
 
     // 4. parallel (work-stealing) fragment construction
-    let frags = Fragment::partition_weighted_with_layout(
-        space.total(),
-        &edges,
-        weights.as_deref(),
-        fragments,
-        proj.layout,
-    );
+    let frags = Fragment::build_all(space.total(), shares, proj.layout);
     if gs_telemetry::enabled() {
         for f in &frags {
             counter!("grape.load.fragment_edges", frag = f.id.index(); f.edge_count() as u64);

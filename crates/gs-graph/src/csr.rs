@@ -3,8 +3,8 @@
 //! CSR (and its transpose, CSC) is the workhorse representation for the
 //! immutable Vineyard store, the static baseline in Fig. 7(c), and the
 //! fragment-local topology used by GRAPE and the learning stack. The builder
-//! uses a counting-sort pass, so construction is O(V + E) with no comparison
-//! sort.
+//! places edges with a counting-sort pass, so construction is O(V + E); a
+//! comparison sort runs only on neighbour lists pushed out of order.
 
 use crate::ids::{EId, VId};
 
@@ -86,9 +86,9 @@ impl Csr {
     /// Builds a CSR (and dense edge-id assignment) from an edge list.
     ///
     /// `n` is the vertex count; edges reference vertices `< n`. Edge ids are
-    /// assigned in CSR order: edge `i` of the concatenated adjacency arrays
-    /// gets id `i`, so a parallel edge-property array can be indexed by
-    /// [`EId`] directly.
+    /// assigned in input order: the `i`-th pair of `edges` gets id `i`
+    /// wherever neighbour sorting places it, so a property array parallel to
+    /// `edges` can be indexed by [`EId`] directly.
     pub fn from_edges(n: usize, edges: &[(VId, VId)]) -> Csr {
         let mut b = CsrBuilder::new(n);
         for &(s, _) in edges {
@@ -98,9 +98,7 @@ impl Csr {
         for &(s, d) in edges {
             b.push_edge(s, d);
         }
-        let mut csr = b.build();
-        csr.sort_neighbors();
-        csr
+        b.build()
     }
 
     /// Assembles a CSR from raw parts. `offsets` must be a monotone prefix
@@ -142,27 +140,35 @@ impl Csr {
                 *c += 1;
             }
         }
-        let mut t = Csr {
+        // sources are visited in ascending order, so every list comes out
+        // sorted by construction
+        Csr {
             offsets,
             targets,
             edge_ids,
-        };
-        t.sort_neighbors();
-        t
+        }
     }
 
     /// Sorts each adjacency list by neighbor id, keeping edge ids aligned.
+    /// Lists that are already sorted are left as they are; the rest are
+    /// sorted through one scratch buffer.
     fn sort_neighbors(&mut self) {
+        let mut pairs: Vec<(VId, EId)> = Vec::new();
         for v in 0..self.vertex_count() {
             let lo = self.offsets[v] as usize;
             let hi = self.offsets[v + 1] as usize;
-            let mut pairs: Vec<(VId, EId)> = self.targets[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.edge_ids[lo..hi].iter().copied())
-                .collect();
+            if self.targets[lo..hi].is_sorted() {
+                continue;
+            }
+            pairs.clear();
+            pairs.extend(
+                self.targets[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(self.edge_ids[lo..hi].iter().copied()),
+            );
             pairs.sort_unstable_by_key(|p| p.0);
-            for (i, (t, e)) in pairs.into_iter().enumerate() {
+            for (i, &(t, e)) in pairs.iter().enumerate() {
                 self.targets[lo + i] = t;
                 self.edge_ids[lo + i] = e;
             }
@@ -227,14 +233,17 @@ impl CsrBuilder {
         *c += 1;
     }
 
-    /// Finalises the CSR.
+    /// Finalises the CSR, sorting each neighbour list by target; edge ids
+    /// move with their targets, so they keep their call-order assignment.
     pub fn build(self) -> Csr {
         debug_assert!(self.phase2);
-        Csr {
+        let mut csr = Csr {
             offsets: self.offsets,
             targets: self.targets,
             edge_ids: self.edge_ids,
-        }
+        };
+        csr.sort_neighbors();
+        csr
     }
 }
 
@@ -242,17 +251,16 @@ impl CsrBuilder {
 mod tests {
     use super::*;
 
+    // 0 -> 1, 0 -> 2, 1 -> 2, 2 -> 0, 3 isolated
+    const SAMPLE: [(VId, VId); 4] = [
+        (VId(0), VId(2)),
+        (VId(0), VId(1)),
+        (VId(1), VId(2)),
+        (VId(2), VId(0)),
+    ];
+
     fn sample() -> Csr {
-        // 0 -> 1, 0 -> 2, 1 -> 2, 2 -> 0, 3 isolated
-        Csr::from_edges(
-            4,
-            &[
-                (VId(0), VId(2)),
-                (VId(0), VId(1)),
-                (VId(1), VId(2)),
-                (VId(2), VId(0)),
-            ],
-        )
+        Csr::from_edges(4, &SAMPLE)
     }
 
     #[test]
@@ -271,8 +279,10 @@ mod tests {
         let g = sample();
         let mut seen: Vec<u64> = Vec::new();
         for v in 0..g.vertex_count() {
-            for (_, e) in g.adj(VId(v as u64)) {
+            for (w, e) in g.adj(VId(v as u64)) {
                 seen.push(e.0);
+                // edge id i is the i-th input pair, after neighbour sorting
+                assert_eq!(SAMPLE[e.index()], (VId(v as u64), w));
             }
         }
         seen.sort_unstable();
